@@ -181,6 +181,16 @@ fn record_delivery(m: &crate::obs::EngineMetrics, stats: &DeliveryStats) {
     m.bytes.add(stats.bytes);
 }
 
+/// The wall-clock deadline of paced slot `n` of a run that started at
+/// `start`: `start + slot_duration × n`, exact for every `u64` slot count
+/// (a `Duration × u32` product would wrap after 2^32 slots).
+fn slot_deadline(start: Instant, slot_duration: Duration, n: u64) -> Instant {
+    const NANOS_PER_SEC: u128 = 1_000_000_000;
+    let nanos = slot_duration.as_nanos() * u128::from(n);
+    let secs = u64::try_from(nanos / NANOS_PER_SEC).expect("slot deadline overflows a Duration");
+    start + Duration::new(secs, (nanos % NANOS_PER_SEC) as u32)
+}
+
 /// How many slots before an epoch boundary the engine starts airing
 /// announce fences (one per channel per tick), so every tuner — even one
 /// straddling a channel switch — sees the swap coming.
@@ -430,7 +440,7 @@ impl BroadcastEngine {
                 }
             }
             if !self.cfg.slot_duration.is_zero() {
-                let deadline = start + self.cfg.slot_duration * (seq - start_seq) as u32;
+                let deadline = slot_deadline(start, self.cfg.slot_duration, seq - start_seq);
                 let now = Instant::now();
                 if deadline > now {
                     std::thread::sleep(deadline - now);
@@ -480,7 +490,7 @@ impl BroadcastEngine {
                 if self.cfg.slot_duration.is_zero() {
                     0.0
                 } else {
-                    let deadline = start + self.cfg.slot_duration * (seq - start_seq) as u32;
+                    let deadline = slot_deadline(start, self.cfg.slot_duration, seq - start_seq);
                     Instant::now()
                         .checked_duration_since(deadline)
                         .map_or(0.0, |late| late.as_secs_f64() * 1e6)
@@ -756,6 +766,22 @@ mod tests {
         // the schedule, not quadratically more.
         assert!(report.elapsed >= Duration::from_millis(10));
         assert!(report.elapsed < Duration::from_millis(250));
+    }
+
+    #[test]
+    fn slot_deadline_is_exact_past_2_pow_32_slots() {
+        let start = Instant::now();
+        let slot = Duration::new(0, 250_007);
+        let n = (1u64 << 32) + 3;
+        let deadline = slot_deadline(start, slot, n);
+        assert_eq!(deadline - start, Duration::from_nanos(250_007 * n));
+        // A u32 slot count would have wrapped to slot 3.
+        assert_ne!(deadline, start + slot * 3);
+        assert_eq!(slot_deadline(start, slot, 0), start);
+        assert_eq!(
+            slot_deadline(start, Duration::from_secs(1), n) - start,
+            Duration::from_secs(n)
+        );
     }
 
     #[test]

@@ -37,6 +37,13 @@ pub const CHANNEL_V3_FLAG: u16 = 0x8000;
 /// pre-pull brokers.
 pub const CHANNEL_PULL_FLAG: u16 = 0x4000;
 
+// Plans reject channel counts past `MAX_CHANNELS`, so every channel id a
+// plan produces fits below the lowest flag bit and a frame's channel field
+// never carries a flag by accident.
+const _: () = assert!(
+    bdisk_sched::MAX_CHANNELS == 1 << (CHANNEL_V3_FLAG | CHANNEL_PULL_FLAG).trailing_zeros()
+);
+
 /// Bytes of frame header following the length prefix:
 /// 8 (seq) + 2 (channel) + 4 (page) + 4 (crc). Wire format v2: the frame
 /// carries the broadcast channel it was aired on.

@@ -1,11 +1,12 @@
 //! A slab-backed doubly-linked LRU chain.
 //!
-//! LRU and LIX both need O(1) move-to-front, O(1) eviction from the back,
-//! and O(1) membership lookup. This chain stores nodes in a `Vec` slab with
-//! index links (no per-node allocation, no unsafe) and an index map from
-//! page id to slab slot.
-
-use std::collections::HashMap;
+//! LRU, L, LIX and 2Q need O(1) move-to-front, O(1) eviction from the
+//! back, and O(1) membership lookup. This chain stores nodes in a `Vec`
+//! slab with index links (no per-node allocation, no unsafe) and finds a
+//! page's slab slot through a dense table indexed by page id: `NIL` marks
+//! an absent page, and the table grows on demand to the largest page id
+//! pushed. Page ids are dense in a broadcast (`0..num_pages`), so the
+//! table costs four bytes per page and a lookup is one array load.
 
 use bdisk_sched::PageId;
 
@@ -19,13 +20,21 @@ struct Node {
 }
 
 /// Doubly-linked list of pages, most recently used at the front.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LruChain {
     nodes: Vec<Node>,
     free: Vec<u32>,
-    index: HashMap<PageId, u32>,
+    /// Slab slot of each page, `NIL` when the page is not in the chain.
+    slot_of: Vec<u32>,
+    len: usize,
     head: u32,
     tail: u32,
+}
+
+impl Default for LruChain {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl LruChain {
@@ -34,7 +43,8 @@ impl LruChain {
         Self {
             nodes: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            slot_of: Vec::new(),
+            len: 0,
             head: NIL,
             tail: NIL,
         }
@@ -42,17 +52,23 @@ impl LruChain {
 
     /// Number of pages in the chain.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// True when the chain holds no pages.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// True when `page` is in the chain.
     pub fn contains(&self, page: PageId) -> bool {
-        self.index.contains_key(&page)
+        self.slot(page) != NIL
+    }
+
+    /// The slab slot of `page`, `NIL` when absent.
+    #[inline]
+    fn slot(&self, page: PageId) -> u32 {
+        self.slot_of.get(page.index()).copied().unwrap_or(NIL)
     }
 
     /// Pushes `page` at the front (most recently used).
@@ -86,14 +102,19 @@ impl LruChain {
             self.tail = slot;
         }
         self.head = slot;
-        self.index.insert(page, slot);
+        if page.index() >= self.slot_of.len() {
+            self.slot_of.resize(page.index() + 1, NIL);
+        }
+        self.slot_of[page.index()] = slot;
+        self.len += 1;
     }
 
     /// Moves `page` to the front. Returns `false` if absent.
     pub fn move_to_front(&mut self, page: PageId) -> bool {
-        let Some(&slot) = self.index.get(&page) else {
+        let slot = self.slot(page);
+        if slot == NIL {
             return false;
-        };
+        }
         if self.head == slot {
             return true;
         }
@@ -120,9 +141,12 @@ impl LruChain {
 
     /// Removes `page` from the chain. Returns `false` if absent.
     pub fn remove(&mut self, page: PageId) -> bool {
-        let Some(slot) = self.index.remove(&page) else {
+        let slot = self.slot(page);
+        if slot == NIL {
             return false;
-        };
+        }
+        self.slot_of[page.index()] = NIL;
+        self.len -= 1;
         self.unlink(slot);
         self.free.push(slot);
         true

@@ -25,9 +25,10 @@
 //! knowledge (Experiment 5).
 //!
 //! Both policies do a constant amount of work per replacement (proportional
-//! to the number of disks), the same order as LRU.
+//! to the number of disks), the same order as LRU. The estimator state sits
+//! in a dense table indexed by page id, so residency tests and estimator
+//! updates are array loads.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use bdisk_obs::registry::{self, Histogram, POW2_BOUNDS};
@@ -56,10 +57,19 @@ const MIN_ELAPSED: f64 = 1e-9;
 
 #[derive(Debug, Clone, Copy)]
 struct Meta {
-    /// Running probability estimate.
+    /// Running probability estimate; negative for a non-resident page.
     p: f64,
     /// Time of the most recent access.
     t: f64,
+}
+
+/// The table entry of a non-resident page. Estimates are never negative.
+const ABSENT: Meta = Meta { p: -1.0, t: 0.0 };
+
+impl Meta {
+    fn resident(&self) -> bool {
+        self.p >= 0.0
+    }
 }
 
 /// The LIX replacement policy (and, via [`LixPolicy::l_variant`], `L`).
@@ -73,7 +83,10 @@ pub struct LixPolicy {
     /// Per-disk broadcast frequency (all 1.0 for the `L` variant).
     disk_freqs: Vec<f64>,
     alpha: f64,
-    meta: HashMap<PageId, Meta>,
+    /// Estimator state of each page ([`ABSENT`] unless resident).
+    meta: Vec<Meta>,
+    /// Number of resident pages.
+    resident: usize,
     name: &'static str,
 }
 
@@ -113,16 +126,22 @@ impl LixPolicy {
         Self {
             capacity,
             chains: (0..disk_freqs.len()).map(|_| LruChain::new()).collect(),
+            meta: vec![ABSENT; page_disk.len()],
+            resident: 0,
             page_disk,
             disk_freqs,
             alpha,
-            meta: HashMap::new(),
             name,
         }
     }
 
     fn disk_of(&self, page: PageId) -> usize {
         self.page_disk[page.index()] as usize
+    }
+
+    /// The estimator state of `page` when it is resident.
+    fn meta(&self, page: PageId) -> Option<&Meta> {
+        self.meta.get(page.index()).filter(|m| m.resident())
     }
 
     /// The estimator evaluated at `now` for a page's stored state.
@@ -133,7 +152,7 @@ impl LixPolicy {
 
     /// The lix value of `page` evaluated at `now` (estimate ÷ frequency).
     pub fn lix_value(&self, page: PageId, now: f64) -> Option<f64> {
-        let m = self.meta.get(&page)?;
+        let m = self.meta(page)?;
         Some(self.estimate(m, now) / self.disk_freqs[self.disk_of(page)])
     }
 
@@ -157,7 +176,7 @@ impl LixPolicy {
     /// probability estimate and the last access time. `None` when the page
     /// is not resident. Exposed for tests and instrumentation.
     pub fn estimator_state(&self, page: PageId) -> Option<(f64, f64)> {
-        self.meta.get(&page).map(|m| (m.p, m.t))
+        self.meta(page).map(|m| (m.p, m.t))
     }
 
     /// Chooses the victim: the bottom page of each chain with the smallest
@@ -182,52 +201,48 @@ impl LixPolicy {
 
 impl CachePolicy for LixPolicy {
     fn contains(&self, page: PageId) -> bool {
-        self.meta.contains_key(&page)
+        self.meta(page).is_some()
     }
 
     fn on_hit(&mut self, page: PageId, now: f64) {
-        let alpha = self.alpha;
-        let est = {
-            let m = self.meta.get(&page).expect("hit on non-resident page");
-            let elapsed = (now - m.t).max(MIN_ELAPSED);
-            alpha / elapsed + (1.0 - alpha) * m.p
-        };
-        let m = self.meta.get_mut(&page).expect("checked above");
-        m.p = est;
-        m.t = now;
+        let est = self.estimate(self.meta(page).expect("hit on non-resident page"), now);
+        self.meta[page.index()] = Meta { p: est, t: now };
         let disk = self.page_disk[page.index()] as usize;
         self.chains[disk].move_to_front(page);
     }
 
     fn insert(&mut self, page: PageId, now: f64) -> Option<PageId> {
         assert!(!self.contains(page), "page {page} already resident");
-        let victim = if self.meta.len() == self.capacity {
+        let disk = self.disk_of(page);
+        let victim = if self.resident == self.capacity {
             let v = self.pick_victim(now);
             let victim_disk = self.disk_of(v);
             self.chains[victim_disk].remove(v);
-            self.meta.remove(&v);
+            self.meta[v.index()] = ABSENT;
             Some(v)
         } else {
+            self.resident += 1;
             None
         };
         // "When the page enters a chain, p is initially set to zero and t
         //  is set to the current time."
-        self.meta.insert(page, Meta { p: 0.0, t: now });
-        let disk = self.disk_of(page);
+        self.meta[page.index()] = Meta { p: 0.0, t: now };
         self.chains[disk].push_front(page);
         victim
     }
 
     fn invalidate(&mut self, page: PageId) -> bool {
-        if self.meta.remove(&page).is_none() {
+        if !self.contains(page) {
             return false;
         }
+        self.meta[page.index()] = ABSENT;
+        self.resident -= 1;
         let disk = self.disk_of(page);
         self.chains[disk].remove(page)
     }
 
     fn len(&self) -> usize {
-        self.meta.len()
+        self.resident
     }
 
     fn capacity(&self) -> usize {
@@ -251,6 +266,9 @@ impl CachePolicy for LixPolicy {
             panic!("page assigned to nonexistent disk {bad}");
         }
         self.page_disk = ctx.page_disk.clone();
+        if self.meta.len() < self.page_disk.len() {
+            self.meta.resize(self.page_disk.len(), ABSENT);
+        }
         self.disk_freqs = if self.name == "L" {
             vec![1.0; ctx.disk_freqs.len()]
         } else {
@@ -259,7 +277,13 @@ impl CachePolicy for LixPolicy {
         // Re-bucket residents into their (possibly new) disk chains,
         // restoring recency order: most recently accessed at the front,
         // ties broken by page id for determinism.
-        let mut residents: Vec<(f64, PageId)> = self.meta.iter().map(|(&p, m)| (m.t, p)).collect();
+        let mut residents: Vec<(f64, PageId)> = self
+            .meta
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.resident())
+            .map(|(p, m)| (m.t, PageId(p as u32)))
+            .collect();
         residents.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .expect("access times are never NaN")

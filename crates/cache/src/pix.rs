@@ -12,12 +12,11 @@
 //!
 //! Neither is implementable in a real client: they require perfect
 //! knowledge of access probabilities and a global comparison across the
-//! cache. In the simulator the probabilities are known exactly, and the
-//! global min is kept in an ordered set over precomputed value *ranks*
-//! (values are static, so ranking them once avoids comparing floats at
-//! every eviction and gives deterministic tie-breaks).
-
-use std::collections::BTreeSet;
+//! cache. In the simulator the probabilities are known exactly. Values are
+//! static, so they are ranked once (which avoids comparing floats at every
+//! eviction and gives deterministic tie-breaks), and residency is one bit
+//! per rank: a page is resident when the bit of its rank is set, and the
+//! victim is the lowest set bit.
 
 use bdisk_sched::PageId;
 
@@ -33,8 +32,14 @@ pub struct StaticValuePolicy {
     /// Rank of each page's value (0 = smallest value = first to evict);
     /// ties broken by page id for determinism.
     rank: Vec<u32>,
-    /// Resident pages ordered by rank.
-    resident: BTreeSet<u32>,
+    /// Residency bitmap over ranks: bit `r % 64` of word `r / 64` is set
+    /// when the page of rank `r` is resident.
+    resident: Vec<u64>,
+    /// Number of resident pages.
+    len: usize,
+    /// Every word before this one is zero, so the victim search starts
+    /// here.
+    low_word: usize,
     /// Inverse of `rank`: rank → page.
     page_of_rank: Vec<u32>,
     name: &'static str,
@@ -59,34 +64,61 @@ impl StaticValuePolicy {
         Self {
             capacity,
             rank,
-            resident: BTreeSet::new(),
+            resident: vec![0; values.len().div_ceil(64)],
+            len: 0,
+            low_word: 0,
             page_of_rank: order,
             name,
         }
+    }
+
+    /// The word index and bit mask of `page`'s rank in the bitmap.
+    #[inline]
+    fn bit(&self, page: PageId) -> (usize, u64) {
+        let r = self.rank[page.index()] as usize;
+        (r / 64, 1 << (r % 64))
     }
 
     /// Replaces the per-page value vector, keeping residency: the same
     /// pages stay cached, but are re-ranked under `values` so future
     /// evictions follow the new ordering (plan hot-swap support).
     pub fn reset_values(&mut self, values: &[f64]) {
-        let residents: Vec<u32> = self
-            .resident
-            .iter()
-            .map(|&r| self.page_of_rank[r as usize])
+        let residents: Vec<PageId> = (0..self.rank.len() as u32)
+            .map(PageId)
+            .filter(|&p| self.contains(p))
             .collect();
-        let fresh = Self::new(self.capacity, values, self.name);
-        self.rank = fresh.rank;
-        self.page_of_rank = fresh.page_of_rank;
-        self.resident = residents
-            .into_iter()
-            .map(|p| self.rank[p as usize])
-            .collect();
+        *self = Self::new(self.capacity, values, self.name);
+        for p in residents {
+            self.admit(p);
+        }
+    }
+
+    /// Sets `page`'s residency bit.
+    fn admit(&mut self, page: PageId) {
+        let (w, b) = self.bit(page);
+        self.resident[w] |= b;
+        self.low_word = self.low_word.min(w);
+        self.len += 1;
+    }
+
+    /// Clears and returns the lowest set bit: the resident page with the
+    /// smallest value.
+    fn pop_lowest(&mut self) -> PageId {
+        while self.resident[self.low_word] == 0 {
+            self.low_word += 1;
+        }
+        let word = &mut self.resident[self.low_word];
+        let r = self.low_word * 64 + word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        self.len -= 1;
+        PageId(self.page_of_rank[r])
     }
 }
 
 impl CachePolicy for StaticValuePolicy {
     fn contains(&self, page: PageId) -> bool {
-        self.resident.contains(&self.rank[page.index()])
+        let (w, b) = self.bit(page);
+        self.resident[w] & b != 0
     }
 
     fn on_hit(&mut self, _page: PageId, _now: f64) {
@@ -95,23 +127,21 @@ impl CachePolicy for StaticValuePolicy {
 
     fn insert(&mut self, page: PageId, _now: f64) -> Option<PageId> {
         assert!(!self.contains(page), "page {page} already resident");
-        let victim = if self.resident.len() == self.capacity {
-            let &lowest = self.resident.iter().next().expect("cache is full");
-            self.resident.remove(&lowest);
-            Some(PageId(self.page_of_rank[lowest as usize]))
-        } else {
-            None
-        };
-        self.resident.insert(self.rank[page.index()]);
+        let victim = (self.len == self.capacity).then(|| self.pop_lowest());
+        self.admit(page);
         victim
     }
 
     fn invalidate(&mut self, page: PageId) -> bool {
-        self.resident.remove(&self.rank[page.index()])
+        let (w, b) = self.bit(page);
+        let was = self.resident[w] & b != 0;
+        self.resident[w] &= !b;
+        self.len -= was as usize;
+        was
     }
 
     fn len(&self) -> usize {
-        self.resident.len()
+        self.len
     }
 
     fn capacity(&self) -> usize {

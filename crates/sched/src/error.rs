@@ -33,6 +33,12 @@ pub enum SchedError {
     EmptyProgram,
     /// A broadcast plan must have at least one channel.
     NoChannels,
+    /// More channels than the wire's channel field can label (see
+    /// [`crate::MAX_CHANNELS`]).
+    TooManyChannels {
+        /// Number of channels requested.
+        channels: usize,
+    },
     /// Striping the layout left a channel with no pages (more channels than
     /// the largest disk can populate).
     EmptyChannel {
@@ -70,6 +76,11 @@ impl fmt::Display for SchedError {
             ),
             SchedError::EmptyProgram => write!(f, "broadcast program contains no pages"),
             SchedError::NoChannels => write!(f, "a broadcast plan needs at least one channel"),
+            SchedError::TooManyChannels { channels } => write!(
+                f,
+                "{channels} channels exceed the wire limit of {}",
+                crate::MAX_CHANNELS
+            ),
             SchedError::EmptyChannel { channel } => {
                 write!(
                     f,

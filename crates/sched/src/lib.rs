@@ -48,7 +48,7 @@ pub use error::SchedError;
 pub use generate::{flat_program, random_program, skewed_program};
 pub use index::IndexedBroadcast;
 pub use optimizer::{optimize_layout, OptimizedLayout, OptimizerConfig};
-pub use plan::{BroadcastPlan, ChannelId, ChannelStats, CodecKind, CodingConfig};
+pub use plan::{BroadcastPlan, ChannelId, ChannelStats, CodecKind, CodingConfig, MAX_CHANNELS};
 pub use program::{BroadcastProgram, PageId, RepairId, Slot};
 
 /// Least common multiple of two positive integers.

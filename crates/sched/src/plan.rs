@@ -153,6 +153,11 @@ pub struct BroadcastPlan {
     epoch: u32,
 }
 
+/// The most channels a plan may have: the wire labels each frame with a
+/// 14-bit channel id (the top two bits of its 16-bit channel field are
+/// frame flags), so channel ids are `0..MAX_CHANNELS`.
+pub const MAX_CHANNELS: usize = 1 << 14;
+
 impl BroadcastPlan {
     /// Generates a plan that stripes `layout` across `channels` channels.
     ///
@@ -160,10 +165,14 @@ impl BroadcastPlan {
     /// hottest-first order within every (disk, channel) cell; a channel's
     /// layout keeps the relative frequencies of the disks that reach it.
     /// `channels = 1` produces a plan whose single program is identical to
-    /// [`BroadcastProgram::generate`] for the same layout.
+    /// [`BroadcastProgram::generate`] for the same layout. More than
+    /// [`MAX_CHANNELS`] channels are rejected.
     pub fn generate(layout: &DiskLayout, channels: usize) -> Result<Self, SchedError> {
         if channels == 0 {
             return Err(SchedError::NoChannels);
+        }
+        if channels > MAX_CHANNELS {
+            return Err(SchedError::TooManyChannels { channels });
         }
         let total = layout.total_pages();
         let mut page_channel = vec![0u16; total];
@@ -847,6 +856,19 @@ mod tests {
         assert_eq!(
             BroadcastPlan::generate(&layout, 0).unwrap_err(),
             SchedError::NoChannels
+        );
+    }
+
+    #[test]
+    fn channels_past_the_wire_limit_rejected() {
+        let layout = DiskLayout::new(vec![MAX_CHANNELS], vec![1]).unwrap();
+        let plan = BroadcastPlan::generate(&layout, MAX_CHANNELS).unwrap();
+        assert_eq!(plan.num_channels(), MAX_CHANNELS);
+        assert_eq!(
+            BroadcastPlan::generate(&layout, MAX_CHANNELS + 1).unwrap_err(),
+            SchedError::TooManyChannels {
+                channels: MAX_CHANNELS + 1
+            }
         );
     }
 

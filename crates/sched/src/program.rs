@@ -8,7 +8,10 @@
 //!
 //! Beyond the slot vector, the program pre-computes per-page broadcast
 //! positions so the client model can answer *"when does page p next go by?"*
-//! in `O(log f)` where `f` is the page's per-period frequency.
+//! with a binary search over that page's `f` airings per period. The
+//! positions of all pages share one flat offsets array, page by page, with
+//! a per-page start index into it: two counting passes over the slot
+//! sequence build both, with no allocation per page.
 
 use crate::disk::DiskLayout;
 use crate::error::SchedError;
@@ -86,8 +89,12 @@ pub enum Slot {
 #[derive(Debug, Clone)]
 pub struct BroadcastProgram {
     slots: Vec<Slot>,
-    /// Sorted slot offsets (within one period) at which each page starts.
-    page_slots: Vec<Vec<u32>>,
+    /// Slot offsets (within one period) of every page airing, grouped by
+    /// page and sorted within each page.
+    offsets: Vec<u32>,
+    /// Page `p`'s offsets are `offsets[page_start[p]..page_start[p + 1]]`;
+    /// one entry per page plus a final end index.
+    page_start: Vec<u32>,
     /// Disk index per page (0 when the program was built from raw slots).
     page_disk: Vec<u16>,
     /// Relative frequency of each disk (empty for raw-slot programs).
@@ -129,13 +136,14 @@ impl BroadcastProgram {
             .max()
             .ok_or(SchedError::EmptyProgram)?;
 
-        let mut page_slots = vec![Vec::new(); num_pages];
+        // Pass 1 counts each page's airings into `page_start[p]`.
+        let mut page_start = vec![0u32; num_pages + 1];
         let mut empty_slots = 0;
         let mut empty_starts = Vec::new();
         let mut repair_slots = 0;
         for (i, s) in slots.iter().enumerate() {
             match s {
-                Slot::Page(p) => page_slots[p.index()].push(i as u32),
+                Slot::Page(p) => page_start[p.index()] += 1,
                 Slot::Empty => {
                     empty_slots += 1;
                     empty_starts.push(i as u32);
@@ -149,12 +157,26 @@ impl BroadcastProgram {
                 }
             }
         }
-        for (p, ps) in page_slots.iter().enumerate() {
-            if ps.is_empty() {
-                // Dense page-id requirement: a "page" that is never
-                // broadcast cannot be retrieved and indicates a bug in the
-                // caller's slot construction.
-                panic!("page p{p} never appears in the program");
+        if let Some(p) = page_start[..num_pages].iter().position(|&n| n == 0) {
+            // Dense page-id requirement: a "page" that is never broadcast
+            // cannot be retrieved and indicates a bug in the caller's slot
+            // construction.
+            panic!("page p{p} never appears in the program");
+        }
+        // Running sums turn the counts into each page's end index.
+        let mut end = 0;
+        for n in &mut page_start {
+            end += *n;
+            *n = end;
+        }
+        // Pass 2 walks the slots backwards, stepping each page's index
+        // down from its end to its start, so offsets land sorted.
+        let mut offsets = vec![0u32; end as usize];
+        for (i, s) in slots.iter().enumerate().rev() {
+            if let Slot::Page(p) = s {
+                let at = &mut page_start[p.index()];
+                *at -= 1;
+                offsets[*at as usize] = i as u32;
             }
         }
         let page_disk = match disk_of {
@@ -163,7 +185,8 @@ impl BroadcastProgram {
         };
         Ok(Self {
             slots,
-            page_slots,
+            offsets,
+            page_start,
             page_disk,
             disk_freqs,
             empty_slots,
@@ -184,7 +207,7 @@ impl BroadcastProgram {
 
     /// Number of distinct pages broadcast.
     pub fn num_pages(&self) -> usize {
-        self.page_slots.len()
+        self.page_start.len() - 1
     }
 
     /// Number of unused (padding) slots per period.
@@ -226,7 +249,7 @@ impl BroadcastProgram {
 
     /// Broadcasts of `page` per period.
     pub fn frequency(&self, page: PageId) -> u64 {
-        self.page_slots[page.index()].len() as u64
+        self.page_starts(page).len() as u64
     }
 
     /// Fraction of the total bandwidth given to `page`.
@@ -238,7 +261,7 @@ impl BroadcastProgram {
     /// if the page's broadcasts are *not* evenly spaced (e.g. in a skewed
     /// program).
     pub fn gap(&self, page: PageId) -> Option<f64> {
-        let starts = &self.page_slots[page.index()];
+        let starts = self.page_starts(page);
         if starts.len() == 1 {
             return Some(self.period() as f64);
         }
@@ -256,7 +279,7 @@ impl BroadcastProgram {
     /// All inter-arrival gaps of `page` within one period (including the
     /// wrap-around gap). Used by the analytic expected-delay model.
     pub fn gaps(&self, page: PageId) -> Vec<f64> {
-        let starts = &self.page_slots[page.index()];
+        let starts = self.page_starts(page);
         let mut gaps = Vec::with_capacity(starts.len());
         for w in starts.windows(2) {
             gaps.push((w[1] - w[0]) as f64);
@@ -266,8 +289,10 @@ impl BroadcastProgram {
     }
 
     /// Slot offsets (within one period) at which `page` is broadcast.
+    #[inline]
     pub fn page_starts(&self, page: PageId) -> &[u32] {
-        &self.page_slots[page.index()]
+        let p = page.index();
+        &self.offsets[self.page_start[p] as usize..self.page_start[p + 1] as usize]
     }
 
     /// The slot broadcast at absolute slot sequence number `seq`, wrapping
@@ -293,7 +318,7 @@ impl BroadcastProgram {
     pub fn next_arrival(&self, page: PageId, t: f64) -> f64 {
         debug_assert!(t >= 0.0);
         let period = self.period() as f64;
-        let starts = &self.page_slots[page.index()];
+        let starts = self.page_starts(page);
         let cycle = (t / period).floor();
         let phase = t - cycle * period;
         // First broadcast at offset >= phase, else wrap to next cycle.
@@ -355,13 +380,15 @@ impl BroadcastProgram {
     /// corrupts (the decoder XORs the wrong pages).
     pub fn coverage_window(&self, offset: u32, group: usize) -> Vec<u32> {
         let period = self.period() as u32;
-        let hot_only = self.page_slots.iter().any(|s| s.len() >= 2);
+        // Every page airs at least once, so some page airs twice exactly
+        // when there are more airings than pages.
+        let hot_only = self.offsets.len() > self.num_pages();
         let mut pages: Vec<PageId> = Vec::with_capacity(group);
         let mut window = Vec::with_capacity(group);
         for d in 1..period {
             let o = (offset + period - d) % period;
             if let Slot::Page(p) = self.slots[o as usize] {
-                if hot_only && self.page_slots[p.index()].len() < 2 {
+                if hot_only && self.page_starts(p).len() < 2 {
                     continue;
                 }
                 if !pages.contains(&p) {
