@@ -15,7 +15,11 @@
 //!
 //! * **batches**: `broadcast` accumulates frames into a pending batch
 //!   ([`BusTuning::batch`] frames) and flushes the whole batch into each
-//!   subscriber queue under a single lock, with one wakeup per batch;
+//!   subscriber queue under a single lock, with one wakeup per batch.
+//!   A paced engine that is on time is the exception: while it has marked
+//!   a pacing sleep within the last `batch` broadcasts, every broadcast
+//!   flushes, so a tick's frames reach subscribers before the next tick
+//!   is due (the same rule the evented TCP transport follows);
 //! * **swap-drains**: a subscriber's `recv` takes every queued frame in one
 //!   lock by swapping the queue's buffer with its drained local buffer, so
 //!   the consumer side also pays ~one lock per batch;
@@ -44,7 +48,7 @@ use bdisk_obs::journal::{event, EventKind};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use crate::faults::{FaultCounts, FaultPlan, FaultSwitchboard, InjectedFrame};
-use crate::transport::{Backpressure, DeliveryStats, Frame, Transport};
+use crate::transport::{Backpressure, DeliveryStats, Frame, PaceWindow, Transport};
 
 /// Process-wide queue-id source, so journal events can name the subscriber
 /// queue they concern.
@@ -293,6 +297,8 @@ pub struct InMemoryBus {
     backpressure: Backpressure,
     batch: usize,
     pending: Vec<Frame>,
+    /// Flushes every broadcast while a paced engine is on time.
+    pace: PaceWindow,
     /// Subscribers registered minus disconnects observed at flushes.
     active: usize,
     fanout: Fanout,
@@ -398,6 +404,7 @@ impl InMemoryBus {
             backpressure,
             batch: tuning.batch,
             pending: Vec::with_capacity(tuning.batch),
+            pace: PaceWindow::default(),
             active: 0,
             fanout,
             faults: FaultSwitchboard::new(),
@@ -535,7 +542,7 @@ impl Transport for InMemoryBus {
         } else {
             self.pending.push(frame);
         }
-        if self.pending.len() >= self.batch {
+        if self.pace.flush_now(self.batch) || self.pending.len() >= self.batch {
             self.flush()
         } else {
             DeliveryStats::default()

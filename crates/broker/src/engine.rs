@@ -14,7 +14,9 @@ use bdisk_sched::{BroadcastPlan, BroadcastProgram, ChannelId, Slot};
 
 use crate::arbiter::{PullConfig, PullMode, PullStats, SlotArbiter};
 use crate::faults::{FaultPlan, FAULT_CODE_OVERRUN};
-use crate::transport::{DeliveryStats, Frame, PagePayloads, PullRequest, Transport, REPAIR_FLAG};
+use crate::transport::{
+    set_pacing_mark, DeliveryStats, Frame, PagePayloads, PullRequest, Transport, REPAIR_FLAG,
+};
 
 /// Per-channel repair-symbol payloads, precomputed once per run: channel
 /// `c`'s entry `r` is the XOR of the covered pages' payloads for repair
@@ -314,6 +316,16 @@ impl BroadcastEngine {
         let mut killed = false;
         let m = crate::obs::engine();
         let em = crate::obs::epoch_metrics();
+        // A paced run sleeps to each slot deadline. For the length of the
+        // run this thread's timer slack drops to 1 ns so a sleep ends on
+        // its deadline rather than up to 50 µs past it; the guard restores
+        // the previous slack on every way out of `run`. Slot 0 is due at
+        // once, so a paced run starts with the pacing mark set.
+        let paced = !self.cfg.slot_duration.is_zero();
+        let _slack = paced
+            .then(|| mini_mio::TimerSlackGuard::set(1).ok())
+            .flatten();
+        set_pacing_mark(paced);
         // One payload buffer per page for the whole run; every frame (and
         // every subscriber) shares it by refcount. Pages are plan-global,
         // so one buffer set serves every channel and every epoch.
@@ -443,6 +455,9 @@ impl BroadcastEngine {
                 let deadline = slot_deadline(start, self.cfg.slot_duration, seq - start_seq);
                 let now = Instant::now();
                 if deadline > now {
+                    // On time: tell the transport to put this tick's
+                    // frames on the wire at once instead of batching.
+                    set_pacing_mark(true);
                     std::thread::sleep(deadline - now);
                 }
             }
@@ -524,11 +539,14 @@ impl BroadcastEngine {
                 let enqueue_start = encode_start.map(|t0| {
                     let now = Instant::now();
                     encode_us += now.duration_since(t0).as_secs_f64() * 1e6;
-                    now
+                    (now, trace::drain_micros())
                 });
                 let stats = transport.broadcast(frame);
-                if let Some(t0) = enqueue_start {
-                    enqueue_us += t0.elapsed().as_secs_f64() * 1e6;
+                if let Some((t0, drained_before)) = enqueue_start {
+                    // A socket flush inside the call is drain time, already
+                    // noted by the transport: count it once, as drain.
+                    let drained = trace::drain_micros().saturating_sub(drained_before);
+                    enqueue_us += (t0.elapsed().as_secs_f64() * 1e6 - drained as f64).max(0.0);
                 }
                 counter.inc();
                 record_delivery(m, &stats);
@@ -567,6 +585,7 @@ impl BroadcastEngine {
             m.active_clients.set(transport.active_clients() as i64);
             slots_sent = seq + 1 - start_seq;
         }
+        set_pacing_mark(false);
         // A batching transport may hold undelivered frames; their stats
         // arrive with the final flush. A *killed* broker vanishes
         // mid-stream instead: no flush, no teardown — the transport stays
@@ -802,5 +821,54 @@ mod tests {
         // Slot 19 is sent no earlier than 19ms in.
         assert!(report.elapsed >= Duration::from_millis(19));
         assert!(report.slots_per_sec <= 1100.0);
+    }
+
+    /// Records this thread's timer slack at every broadcast.
+    #[derive(Default)]
+    struct SlackProbe {
+        seen: Vec<u64>,
+    }
+
+    impl Transport for SlackProbe {
+        fn broadcast(&mut self, _frame: Frame) -> DeliveryStats {
+            self.seen.push(mini_mio::timer_slack().unwrap());
+            DeliveryStats::default()
+        }
+
+        fn active_clients(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn paced_runs_tighten_timer_slack_and_restore_it_on_every_exit() {
+        let before = mini_mio::timer_slack().unwrap();
+        assert_ne!(before, 1);
+        let run = |slot_duration, broker_kill_slot| {
+            let engine = BroadcastEngine::new(
+                program(),
+                EngineConfig {
+                    max_slots: 6,
+                    slot_duration,
+                    fault_plan: FaultPlan {
+                        broker_kill_slot,
+                        ..FaultPlan::none()
+                    },
+                    ..EngineConfig::default()
+                },
+            );
+            let mut probe = SlackProbe::default();
+            engine.run(&mut probe);
+            probe.seen
+        };
+        let paced = Duration::from_millis(1);
+        // A run that ends normally, and one the broker kill cuts short.
+        for (kill, aired) in [(0, 6), (3, 3)] {
+            let seen = run(paced, kill);
+            assert_eq!(seen, vec![1; aired], "kill slot {kill}");
+            assert_eq!(mini_mio::timer_slack().unwrap(), before, "kill slot {kill}");
+        }
+        // Free runs never sleep to a deadline and leave the slack alone.
+        assert_eq!(run(Duration::ZERO, 0), vec![before; 6]);
     }
 }

@@ -31,12 +31,16 @@
 //!   `tests/evented_equivalence.rs` can pin the two transports to
 //!   bit-identical delivered streams.
 //!
-//! Writes are batched: frames accumulate in per-connection backlogs and
-//! are flushed every few broadcasts (or on a writable event). This trades
-//! a bounded delivery delay — irrelevant to measurements, since a live
-//! client's virtual time is the frame's slot sequence number, not its
-//! arrival instant — for syscall amortization across slots, on top of the
-//! write amplification already being O(1) per slot in payload bytes.
+//! Writes are batched only while batching costs no slot time. A free run
+//! has no deadlines: frames accumulate in per-connection backlogs and are
+//! flushed every `flush_every` broadcasts (or on a writable event),
+//! amortizing the write syscalls across slots. A paced engine that is on
+//! time sleeps between ticks, and there a held frame would reach its
+//! clients up to `flush_every` slot durations late (16 ms at 4000 slots/s),
+//! which is wall-clock response time a client sees. So while the engine
+//! has marked a pacing sleep within the last `flush_every` broadcasts,
+//! every broadcast flushes at once; a paced engine that falls behind stops
+//! sleeping and batches again.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -50,7 +54,7 @@ use mini_mio::{Events, Interest, Poll, Token};
 
 use crate::faults::{encode_corrupted, FaultCounts, FaultPlan, FaultSwitchboard, InjectedFrame};
 use crate::tcp_threaded::TcpTransportConfig;
-use crate::transport::{Backpressure, DeliveryStats, Frame, PullRequest, Transport};
+use crate::transport::{Backpressure, DeliveryStats, Frame, PaceWindow, PullRequest, Transport};
 use crate::upstream::UpstreamParser;
 
 /// Poll token reserved for the listening socket (connection tokens are
@@ -223,6 +227,8 @@ pub struct EventedTcpTransport {
     /// Flush cadence: every this many broadcasts (writable events flush
     /// eagerly in between).
     flush_every: usize,
+    /// Flushes every broadcast while a paced engine is on time.
+    pace: PaceWindow,
     /// Reusable buffer for draining client-to-server bytes.
     read_scratch: Box<[u8]>,
     /// Total client-to-server bytes drained (the upstream channel of the
@@ -277,6 +283,7 @@ impl EventedTcpTransport {
             next_conn_id: 0,
             since_flush: 0,
             flush_every,
+            pace: PaceWindow::default(),
             read_scratch: vec![0u8; 4096].into_boxed_slice(),
             upstream_bytes: 0,
             pending_requests: Vec::new(),
@@ -645,7 +652,7 @@ impl Transport for EventedTcpTransport {
             self.enqueue_all(&wire, &mut stats);
         }
         self.since_flush += 1;
-        if self.since_flush >= self.flush_every {
+        if self.pace.flush_now(self.flush_every) || self.since_flush >= self.flush_every {
             self.since_flush = 0;
             self.flush_ready(&mut stats);
         }
@@ -935,6 +942,58 @@ mod tests {
         let mut reader = TcpFrameReader::from_stream(legacy).unwrap();
         let frame = reader.recv().unwrap().expect("frame delivered");
         assert_eq!(frame.slot, Slot::Page(PageId(1)));
+    }
+
+    /// Free runs never set the pacing mark, so a few broadcasts stay in
+    /// the backlog (count-based coalescing) until `finish` drains them.
+    #[test]
+    fn free_run_broadcasts_coalesce_until_finish() {
+        crate::transport::set_pacing_mark(false);
+        let mut transport = EventedTcpTransport::bind(cfg()).unwrap();
+        let mut client = std::net::TcpStream::connect(transport.local_addr()).unwrap();
+        assert!(transport.wait_for_clients(1, Duration::from_secs(5)));
+        assert!(transport.flush_every > 3);
+        for seq in 0..3u64 {
+            assert_eq!(
+                transport.broadcast(Frame::bare(seq, Slot::Empty)).delivered,
+                1
+            );
+        }
+        client
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let err = client.read(&mut [0u8; 1]).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "a frame reached the socket before the batch filled: {err}"
+        );
+        transport.finish();
+        client.set_read_timeout(None).unwrap();
+        let mut reader = TcpFrameReader::from_stream(client).unwrap();
+        let seqs: Vec<u64> = std::iter::from_fn(|| reader.recv().unwrap())
+            .map(|f| f.seq)
+            .collect();
+        assert_eq!(seqs, [0, 1, 2]);
+    }
+
+    /// A pacing mark puts the next broadcast on the wire at once.
+    #[test]
+    fn pacing_mark_flushes_the_broadcast_at_once() {
+        let mut transport = EventedTcpTransport::bind(cfg()).unwrap();
+        let client = std::net::TcpStream::connect(transport.local_addr()).unwrap();
+        assert!(transport.wait_for_clients(1, Duration::from_secs(5)));
+        crate::transport::set_pacing_mark(true);
+        transport.broadcast(Frame::bare(0, Slot::Empty));
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = TcpFrameReader::from_stream(client).unwrap();
+        let frame = reader.recv().unwrap().expect("frame flushed before finish");
+        assert_eq!(frame.seq, 0);
+        drop(transport);
     }
 
     #[test]

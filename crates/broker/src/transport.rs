@@ -1,6 +1,7 @@
 //! The wire model shared by all transports: frames, page payloads,
 //! backpressure policy, and the [`Transport`] trait the engine drives.
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
@@ -43,6 +44,10 @@ pub const CHANNEL_PULL_FLAG: u16 = 0x4000;
 const _: () = assert!(
     bdisk_sched::MAX_CHANNELS == 1 << (CHANNEL_V3_FLAG | CHANNEL_PULL_FLAG).trailing_zeros()
 );
+
+// Layouts reject page counts past `MAX_PAGES`, so every page id a plan
+// produces sits below `REPAIR_FLAG` and never decodes as a repair symbol.
+const _: () = assert!(bdisk_sched::MAX_PAGES == REPAIR_FLAG as usize);
 
 /// Bytes of frame header following the length prefix:
 /// 8 (seq) + 2 (channel) + 4 (page) + 4 (crc). Wire format v2: the frame
@@ -545,6 +550,49 @@ pub trait Transport: Send {
     fn take_requests(&mut self, _out: &mut Vec<PullRequest>) {}
 }
 
+thread_local! {
+    /// The pacing mark: set by a paced engine just before it sleeps until
+    /// a slot deadline, taken by the next batching-transport `broadcast`
+    /// on the same thread. It lives beside the sleep rather than in the
+    /// [`Transport`] trait so a forwarding wrapper cannot drop it.
+    static PACING_MARK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Sets (or clears) this thread's pacing mark. The engine sets it before
+/// each pacing sleep and at the start of a paced run (slot 0 is due at
+/// once), and clears it when a run ends.
+pub(crate) fn set_pacing_mark(on: bool) {
+    PACING_MARK.with(|m| m.set(on));
+}
+
+/// The flush rule both batching transports share. A paced engine that
+/// is on time sleeps between ticks, and a frame held for a batch would
+/// reach clients up to a batch of slots late. So while the engine has
+/// marked a pacing sleep within the last `window` broadcasts, every
+/// broadcast flushes at once (all channels of a tick go out together).
+/// A free run never marks, and a paced engine that falls behind stops
+/// sleeping: both keep count-based batching.
+#[derive(Debug, Default)]
+pub(crate) struct PaceWindow {
+    /// Broadcasts left that flush at once.
+    left: usize,
+}
+
+impl PaceWindow {
+    /// Consumes this thread's pacing mark and says whether the broadcast
+    /// just enqueued must be flushed now.
+    pub(crate) fn flush_now(&mut self, window: usize) -> bool {
+        if PACING_MARK.with(|m| m.replace(false)) {
+            self.left = window;
+        }
+        if self.left == 0 {
+            return false;
+        }
+        self.left -= 1;
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -923,5 +971,31 @@ mod tests {
         assert_eq!(a.disconnected, 1);
         assert_eq!(a.bytes, 80);
         assert_eq!(a.max_queue, 5);
+    }
+
+    #[test]
+    fn pace_window_flushes_for_a_window_after_each_mark() {
+        set_pacing_mark(false);
+        let mut pace = PaceWindow::default();
+        assert!(!pace.flush_now(3), "no mark: count-based batching");
+        set_pacing_mark(true);
+        assert!(pace.flush_now(3), "the mark is consumed here");
+        assert!(pace.flush_now(3));
+        assert!(pace.flush_now(3));
+        assert!(!pace.flush_now(3), "three broadcasts without a mark");
+        // A mark renews the window; consuming it clears it.
+        set_pacing_mark(true);
+        assert!(pace.flush_now(1));
+        assert!(!pace.flush_now(1));
+    }
+
+    #[test]
+    fn largest_page_id_fits_the_wire_limit() {
+        let top = PageId((bdisk_sched::MAX_PAGES - 1) as u32);
+        for slot in [Slot::Page(top), Slot::Pull(top)] {
+            let f = Frame::bare(7, slot);
+            let bytes = f.encode();
+            assert_eq!(Frame::decode(&bytes[LEN_PREFIX..]), Ok(f), "{slot:?}");
+        }
     }
 }

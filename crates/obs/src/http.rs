@@ -17,14 +17,17 @@
 //!
 //! The server is deliberately tiny: one accept thread, one short-lived
 //! handler thread per connection, `Connection: close` on every response.
+//! At most [`MAX_HANDLERS`] handlers run at once; a connection past the
+//! cap gets an immediate `503` from the accept thread, so a connect flood
+//! costs a bounded number of threads.
 //! It exists to be scraped by `curl`/Prometheus during a live run, not to
 //! be a web framework. Serving is entirely off the broadcast hot path —
 //! a scrape snapshots the registry under a registry lock held only by
 //! registration (never by recording).
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -83,17 +86,57 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Most connection handlers in flight at once. Scrapers are few and a
+/// request takes milliseconds; the cap only matters under a flood (a
+/// handler waits up to its 5 s read timeout on a silent peer).
+pub const MAX_HANDLERS: usize = 16;
+
+/// One in-flight handler's claim on the cap, released when it drops.
+struct HandlerSlot(Arc<AtomicUsize>);
+
+impl Drop for HandlerSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn accept_loop(listener: TcpListener, stop: Arc<AtomicBool>) {
+    let in_flight = Arc::new(AtomicUsize::new(0));
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = conn else { continue };
+        // Claimed here, on the accept thread, so the count is exact when
+        // the next connection is accepted.
+        if in_flight.fetch_add(1, Ordering::SeqCst) >= MAX_HANDLERS {
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            reject_busy(stream);
+            continue;
+        }
+        let slot = HandlerSlot(Arc::clone(&in_flight));
         // Short-lived handler; a hung client can't wedge the accept loop.
         let _ = std::thread::Builder::new()
             .name("obs-http-conn".into())
-            .spawn(move || handle_connection(stream));
+            .spawn(move || {
+                let _slot = slot;
+                handle_connection(stream)
+            });
     }
+}
+
+/// Answers a connection past the handler cap with `503` without reading
+/// its request. The response and FIN go out before the socket closes, so
+/// the client reads the whole answer even if its request arrives later.
+fn reject_busy(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+    respond(
+        &mut stream,
+        503,
+        "text/plain; charset=utf-8",
+        "busy: too many connections\n",
+    );
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 fn handle_connection(stream: TcpStream) {
@@ -193,6 +236,7 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        503 => "Service Unavailable",
         _ => "Error",
     };
     let head = format!(
@@ -258,6 +302,37 @@ mod tests {
         let (status, _) = get(addr, "/nope");
         assert_eq!(status, 404);
 
+        server.stop();
+    }
+
+    #[test]
+    fn handlers_past_the_cap_get_a_prompt_503() {
+        let mut server = MetricsServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        // Silent peers: each holds a handler until its read timeout.
+        let idle: Vec<TcpStream> = (0..MAX_HANDLERS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let start = std::time::Instant::now();
+        let (status, body) = get(addr, "/metrics");
+        assert_eq!(status, 503, "{body}");
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "503 took {:?}",
+            start.elapsed()
+        );
+        // Hung-up peers free their handlers; the server serves again.
+        drop(idle);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let (status, _) = get(addr, "/metrics");
+            if status == 200 {
+                break;
+            }
+            assert_eq!(status, 503);
+            assert!(std::time::Instant::now() < deadline, "cap never freed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
         server.stop();
     }
 

@@ -357,6 +357,13 @@ pub fn take_drain_micros() -> u64 {
     DRAIN_MICROS.swap(0, Ordering::Relaxed)
 }
 
+/// The writev-drain time accumulated but not yet taken (engine side: a
+/// reading before and after a transport call gives the drain inside it).
+#[inline]
+pub fn drain_micros() -> u64 {
+    DRAIN_MICROS.load(Ordering::Relaxed)
+}
+
 /// Phase labels for request spans, in `Span::phases` order.
 pub const REQUEST_PHASE_NAMES: [&str; SPAN_PHASES] = ["broadcast", "switch", "loss", "credit"];
 

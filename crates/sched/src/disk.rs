@@ -19,6 +19,11 @@
 use crate::error::SchedError;
 use crate::program::PageId;
 
+/// The most pages a layout may hold: the wire carries a page id in a
+/// 32-bit field whose top bit marks a coded repair symbol, so page ids are
+/// `0..MAX_PAGES`.
+pub const MAX_PAGES: usize = 1 << 31;
+
 /// Partition of the page set into disks with integer relative frequencies.
 ///
 /// Pages `0..sizes[0]` live on disk 1 (fastest), the next `sizes[1]` pages
@@ -39,7 +44,8 @@ impl DiskLayout {
     ///
     /// `sizes[i]` is the number of pages on disk `i+1`; `freqs[i]` its
     /// relative broadcast frequency. Frequencies must be positive and
-    /// non-increasing (disk 1 is the fastest).
+    /// non-increasing (disk 1 is the fastest). More than [`MAX_PAGES`]
+    /// pages in total are rejected.
     pub fn new(sizes: Vec<usize>, freqs: Vec<u64>) -> Result<Self, SchedError> {
         if sizes.is_empty() {
             return Err(SchedError::NoDisks);
@@ -64,11 +70,14 @@ impl DiskLayout {
             return Err(SchedError::UnorderedFrequencies);
         }
         let mut bounds = Vec::with_capacity(sizes.len() + 1);
-        let mut acc = 0;
+        let mut acc = 0usize;
         bounds.push(0);
         for &s in &sizes {
-            acc += s;
+            acc = acc.saturating_add(s);
             bounds.push(acc);
+        }
+        if acc > MAX_PAGES {
+            return Err(SchedError::TooManyPages { pages: acc });
         }
         Ok(Self {
             sizes,
@@ -213,6 +222,25 @@ mod tests {
         assert_eq!(
             DiskLayout::new(vec![1, 1], vec![1, 2]),
             Err(SchedError::UnorderedFrequencies)
+        );
+    }
+
+    #[test]
+    fn pages_past_the_wire_limit_rejected() {
+        // The layout stores disk sizes only, so the limit itself is cheap
+        // to construct.
+        let l = DiskLayout::new(vec![MAX_PAGES - 1, 1], vec![2, 1]).unwrap();
+        assert_eq!(l.total_pages(), MAX_PAGES);
+        assert_eq!(
+            DiskLayout::new(vec![MAX_PAGES, 1], vec![2, 1]),
+            Err(SchedError::TooManyPages {
+                pages: MAX_PAGES + 1
+            })
+        );
+        // A sum that would overflow is rejected, not wrapped.
+        assert_eq!(
+            DiskLayout::new(vec![usize::MAX, 2], vec![1, 1]),
+            Err(SchedError::TooManyPages { pages: usize::MAX })
         );
     }
 

@@ -39,6 +39,12 @@ pub enum SchedError {
         /// Number of channels requested.
         channels: usize,
     },
+    /// More pages than the wire's page field can label (see
+    /// [`crate::MAX_PAGES`]).
+    TooManyPages {
+        /// Total pages requested (saturated at `usize::MAX`).
+        pages: usize,
+    },
     /// Striping the layout left a channel with no pages (more channels than
     /// the largest disk can populate).
     EmptyChannel {
@@ -80,6 +86,11 @@ impl fmt::Display for SchedError {
                 f,
                 "{channels} channels exceed the wire limit of {}",
                 crate::MAX_CHANNELS
+            ),
+            SchedError::TooManyPages { pages } => write!(
+                f,
+                "{pages} pages exceed the wire limit of {}",
+                crate::MAX_PAGES
             ),
             SchedError::EmptyChannel { channel } => {
                 write!(

@@ -43,7 +43,7 @@ pub mod optimizer;
 pub mod plan;
 pub mod program;
 
-pub use disk::DiskLayout;
+pub use disk::{DiskLayout, MAX_PAGES};
 pub use error::SchedError;
 pub use generate::{flat_program, random_program, skewed_program};
 pub use index::IndexedBroadcast;
